@@ -8,11 +8,15 @@ end-to-end behaviour: CVA6 stalling on a full CFI queue while Ibex is
 still busy checking, the doorbell→wake latency, and the completion
 hand-back — all in one coherent timeline.
 
-Multi-hart topologies (N application harts sharing the one RoT monitor)
-run on the same three engines.  Per cycle the application harts tick in
-hart-id order, then the RoT core / policy host, then every CFI stage in
-hart-id order — the ordering every engine replays identically, which is
-what makes the shared-mailbox doorbell arbitration deterministic.
+A topology has N application harts (N=1 is the paper's SoC) sharing the
+one RoT monitor.  Per cycle the application harts tick in hart-id
+order, then the RoT agent (the Ibex core or a mounted policy host),
+then every CFI stage in hart-id order — the ordering every engine
+replays identically, which is what makes the shared-mailbox doorbell
+arbitration deterministic.  The fast engines use one planner for every
+N: a scan over the agents either jumps the clock over cycles in which
+all of them are inert, or runs the ready ones through a batched window
+while the inert ones are replayed in bulk.
 """
 
 from __future__ import annotations
@@ -115,16 +119,16 @@ class SystemSimulator:
             * ``"busy"`` — one :meth:`tick` per cycle;
             * ``"event-driven"`` — jump the clock over cycles in which
               provably nothing can change (hart cycle debt, WFI sleep,
-              log-writer countdowns);
-            * ``"batched"`` (default) — additionally run a hart through
-              whole instruction *windows* in a tight in-hart loop
+              stalls only a log-writer transition releases, log-writer
+              and policy-host countdowns);
+            * ``"batched"`` (default) — additionally run the agents
+              that are ready to retire through whole instruction
+              *windows* in a tight in-hart loop
               (:meth:`repro.hart.core.Hart.run_n`) whenever the
               interaction analysis proves no cross-component event can
-              occur: an application hart runs while the CFI path is
-              parked and every peer is asleep/halted/debt-bound, Ibex
-              runs the firmware while every application hart is
-              inactive, and concurrently-active application harts run
-              windows fully confined to their disjoint DRAM segments.
+              occur inside the window.  The agents are the application
+              harts and the Ibex core; one planner serves every hart
+              count (see :meth:`_fast_forward`).
 
             The observable timeline is cycle-exact in every mode: all
             ``SimulationReport`` fields and every per-cycle statistic
@@ -161,7 +165,9 @@ class SystemSimulator:
         self._stages = list(soc.cfi_stages)
         self._live_stages = [s for s in self._stages if s is not None]
         self._n = len(self._apps)
-        self._single = self._n == 1
+        # (hart id, hart, commit stage) per application hart, hoisted
+        # once: every per-cycle loop below iterates these lanes.
+        self._lanes = tuple(zip(range(self._n), self._apps, self._commits))
         self._debts = [0] * self._n
         if start_delays is not None:
             delays = list(start_delays)
@@ -170,16 +176,20 @@ class SystemSimulator:
                     f"{len(delays)} start delays for {self._n} harts"
                 )
             for i, delay in enumerate(delays):
-                if not isinstance(delay, int) or delay < 0:
+                # bool subclasses int, but True is no cycle count.
+                if (isinstance(delay, bool) or not isinstance(delay, int)
+                        or delay < 0):
                     raise ConfigError(f"invalid start delay {delay!r}")
                 self._debts[i] = delay
+        self._ibex = soc.rot.ibex
         self._ibex_debt = 0
-        # Store-safe windows for the batched loops: an application hart
+        # Store-safe windows for the batched loops: a hart running alone
         # may write DRAM freely (mailboxes are cross-component), Ibex
         # anything on its private TL-UL fabric below the TL2AXI bridge
         # (mailbox writes through the bridge are the firmware's
-        # handshake).  Concurrent multi-hart windows confine each hart
-        # to its own disjoint DRAM segment instead.
+        # handshake).  Concurrent windows confine each application hart
+        # to its own disjoint DRAM segment instead (at N=1 the segment
+        # is the whole DRAM).
         addresses = soc.addresses
         self._host_window = (
             addresses.dram_base, addresses.dram_base + soc.dram.size
@@ -189,14 +199,6 @@ class SystemSimulator:
             (p.dram_base, p.dram_base + p.dram_size)
             for p in soc.topology.placements(addresses)
         ]
-        # Component handles hoisted once — the scheduler loop touches
-        # them every iteration and the ``self.soc.…`` chains add up.
-        # The scalar handles are the hart-0 aliases the single-hart
-        # fast paths below use.
-        self._cva6 = soc.cva6
-        self._ibex = soc.rot.ibex
-        self._commit = soc.commit
-        self._stage = soc.cfi_stage
 
     @property
     def policy_backend(self) -> str:
@@ -218,21 +220,13 @@ class SystemSimulator:
         debts = self._debts
 
         # Host side: commit stage(s) (includes CFI stall protocol).
-        if self._single:
-            if debts[0] > 0:
-                debts[0] -= 1
-            elif not self._cva6.halted:
-                result = self._commit.try_advance()
+        for i, hart, commit in self._lanes:
+            if debts[i] > 0:
+                debts[i] -= 1
+            elif not hart.halted:
+                result = commit.try_advance()
                 if result is not None and result.cycles > 1:
-                    debts[0] = result.cycles - 1
-        else:
-            for i in range(self._n):
-                if debts[i] > 0:
-                    debts[i] -= 1
-                elif not self._apps[i].halted:
-                    result = self._commits[i].try_advance()
-                    if result is not None and result.cycles > 1:
-                        debts[i] = result.cycles - 1
+                    debts[i] = result.cycles - 1
 
         # RoT side: Ibex services mailbox interrupts / polls.
         if self.run_rot:
@@ -250,146 +244,65 @@ class SystemSimulator:
             self._phost.tick()
 
         # CFI log writer FSM(s) (may raise CfiViolation on a bad verdict).
-        if self._single:
-            if self._stage is not None:
-                self._stage.tick()
-        else:
-            for stage in self._live_stages:
-                stage.tick()
+        for stage in self._live_stages:
+            stage.tick()
 
-    # -- event-driven fast path ---------------------------------------------------
+    # -- fast paths (event-driven and batched) -------------------------------------
 
-    def _skippable_cycles(self) -> int:
-        """Cycles the whole platform can fast-forward with no event.
+    def _fast_forward(self, max_cycles: int) -> bool:
+        """Take one clock jump or one batched window; ``False`` when the
+        next cycle has to be ticked.
 
-        The bound is the minimum "next interesting cycle" over every
-        clocked component: each application hart's commit stage (cycle
-        debt), the Ibex core (cycle debt or WFI sleep) and each CFI
-        log-writer FSM (transaction countdowns).  0 means the very next
-        tick can change state and must be stepped normally.
+        One scan classifies the agents — the application harts, then
+        the Ibex core — as *ready* (able to retire on the next cycle)
+        or *inert*: halted, frozen, debt-bound (the debt bounds the
+        step), asleep with no interrupt pending (whoever raises it is
+        bounded elsewhere), or stalled until a log-writer transition
+        releases the CFI queue.  An agent in any other state (waking
+        up, or stalled on a queue that frees next cycle) can act at
+        once and refuses the step, and so does a log writer or policy
+        host about to transition; their countdowns bound it otherwise.
+
+        With no agent ready the clock jumps to the nearest bound.  In
+        the batched engine the ready agents instead run one window
+        (:meth:`_window`), bounded by the inert ones, which are then
+        replayed in bulk by :meth:`_advance` — the same replay a jump
+        uses.  Every step re-validates its own preconditions, so any
+        sequence of steps stays cycle-exact.
         """
         bound = _UNBOUNDED
         debts = self._debts
-        if self._single:
-            if not self._cva6.halted:
-                if debts[0] > 0:
-                    bound = debts[0]
-                elif not self._commit.stall_skippable():
-                    return 0
-                # A skippable stall is bounded below by whoever can
-                # release it (the log writer or the RoT core).
-        else:
-            for i in range(self._n):
-                if self._apps[i].halted:
-                    continue
-                debt = debts[i]
-                if debt > 0:
-                    if debt < bound:
-                        bound = debt
-                elif not self._commits[i].stall_skippable():
-                    return 0
+        ready = []
+        for lane in self._lanes:
+            i, hart, commit = lane
+            if hart.halted:
+                continue
+            debt = debts[i]
+            if debt > 0:
+                if debt < bound:
+                    bound = debt
+            elif hart.sleeping:
+                if hart.interrupt_pending:
+                    return False
+            elif not commit.stalled:
+                ready.append(lane)
+            elif not commit.stall_skippable():
+                return False
+        ibex_ready = False
         if self.run_rot:
             ibex = self._ibex
             if not ibex.halted:
-                if self._ibex_debt > 0:
-                    if self._ibex_debt < bound:
-                        bound = self._ibex_debt
-                elif not ibex.sleeping or ibex.interrupt_pending:
-                    return 0
-                # else: asleep with no wake source — unbounded here; the
-                # doorbell that wakes it is bounded by the other parts.
-        phost = self._phost
-        if phost is not None:
-            host_bound = phost.skippable_cycles()
-            if host_bound <= 0:
-                return 0
-            if host_bound < bound:
-                bound = host_bound
-        if self._single:
-            stage = self._stage
-            if stage is not None:
-                writer_bound = stage.skippable_cycles()
-                if writer_bound <= 0:
-                    return 0
-                if writer_bound < bound:
-                    bound = writer_bound
-        else:
-            for stage in self._live_stages:
-                writer_bound = stage.skippable_cycles()
-                if writer_bound <= 0:
-                    return 0
-                if writer_bound < bound:
-                    bound = writer_bound
-        return 0 if bound >= _UNBOUNDED else bound
-
-    def _advance(self, cycles: int) -> None:
-        """Jump ``cycles`` event-free cycles in one step.
-
-        Replicates exactly what ``cycles`` calls to :meth:`tick` would
-        have done — debts melt, sleeping harts accrue sleep cycles, the
-        log writer's counters advance — without per-cycle dispatch.
-        """
-        self.now += cycles
-        debts = self._debts
-        if self._single:
-            if debts[0] > 0:
-                debts[0] -= min(cycles, debts[0])
-            elif not self._cva6.halted and self._commit.stall_skippable():
-                self._commit.skip_stall(cycles)
-        else:
-            for i in range(self._n):
-                if debts[i] > 0:
-                    debts[i] -= min(cycles, debts[i])
-                elif (not self._apps[i].halted
-                      and self._commits[i].stall_skippable()):
-                    self._commits[i].skip_stall(cycles)
-        if self.run_rot:
-            ibex = self._ibex
-            if self._ibex_debt > 0:
-                self._ibex_debt -= min(cycles, self._ibex_debt)
-            elif ibex.sleeping and not ibex.halted:
-                ibex.sleep_for(cycles)
-        if self._phost is not None:
-            self._phost.skip(cycles)
-        if self._single:
-            if self._stage is not None:
-                self._stage.skip(cycles)
-        else:
-            for stage in self._live_stages:
-                stage.skip(cycles)
-
-    # -- batched fast path --------------------------------------------------------
-
-    def _batch_host(self, max_cycles: int) -> bool:
-        """Run the (single) host through one interaction-free window.
-
-        Eligible when the host is the *only* component that can act for
-        the window: commit uninhibited, Ibex unable to execute (asleep
-        with nothing pending, halted, frozen, or debt-bound — the debt
-        then bounds the window), and the log-writer FSM unable to
-        transition (its ``skippable_cycles`` bound the window; a batched
-        window pushes no commit logs, so a parked writer provably stays
-        parked and an in-flight countdown just melts).  The in-hart loop
-        stops before anything that breaks those proofs (see
-        :meth:`repro.hart.core.Hart.run_n`); the window's cycles are
-        then replayed in bulk exactly as :meth:`_advance` replays
-        skipped ones.
-        """
-        cva6 = self._cva6
-        debts = self._debts
-        if debts[0] or cva6.halted or cva6.sleeping:
+                debt = self._ibex_debt
+                if debt > 0:
+                    if debt < bound:
+                        bound = debt
+                elif not ibex.sleeping:
+                    ibex_ready = True
+                elif ibex.interrupt_pending:
+                    return False
+        jump = not (ready or ibex_ready)
+        if not (jump or self.batched):
             return False
-        commit = self._commit
-        if commit.stalled:
-            return False
-        budget = max_cycles - self.now - 1
-        ibex = self._ibex
-        if self.run_rot and not ibex.halted:
-            if self._ibex_debt > 0:
-                if self._ibex_debt < budget:
-                    budget = self._ibex_debt
-            elif not ibex.sleeping or ibex.interrupt_pending:
-                return False
         phost = self._phost
         if phost is not None:
             # The policy host is exactly as window-friendly as the log
@@ -398,408 +311,154 @@ class SystemSimulator:
             host_bound = phost.skippable_cycles()
             if host_bound <= 0:
                 return False
-            if host_bound < budget:
-                budget = host_bound
-        stage = self._stage
-        if stage is not None:
+            if host_bound < bound:
+                bound = host_bound
+        for stage in self._live_stages:
+            # A window pushes no commit logs, so a parked writer stays
+            # parked and an in-flight countdown just melts.
             writer_bound = stage.skippable_cycles()
             if writer_bound <= 0:
                 return False
-            if writer_bound < budget:
-                budget = writer_bound
+            if writer_bound < bound:
+                bound = writer_bound
+        if jump and bound >= _UNBOUNDED:
+            return False
+        # Stay one cycle short of the budget so the exhaustion path
+        # fires on the same cycle as the busy loop's.
+        budget = max_cycles - self.now - 1
+        if bound < budget:
+            budget = bound
         if budget <= 0:
             return False
-        retired, spent, _term = cva6.run_n(
-            budget, *self._host_window, stop_before_cfi=True
-        )
-        if not retired:
+        if jump:
+            self._advance(budget)
+            # The jump lands on the nearest event: only a window can
+            # follow it without a tick.
+            return self.batched
+        return self._window(budget, ready, ibex_ready)
+
+    def _window(self, budget: int, ready: List[tuple],
+                ibex_ready: bool) -> bool:
+        """Run the ready agents through one window of ``budget`` cycles.
+
+        One ready agent runs alone: an application hart may load from
+        anywhere and store anywhere in DRAM, stopping before CFI-relevant
+        instructions; Ibex may end its window by *executing* an
+        out-of-window store (mailbox verdict or completion, doorbell
+        clear), whose retire cycle the log writers then tick through
+        for real — they observe it exactly as the busy loop's same-cycle
+        writer ticks would (and may raise the resulting CfiViolation,
+        caught by :meth:`run`).
+
+        Several ready agents run *confined*: each one's loads and
+        stores stay in its private range (Ibex: the TL-UL fabric below
+        the bridge; hart ``i``: its own DRAM segment), so the streams
+        cannot observe each other.  Ibex runs first, interrupts
+        disabled (``mret`` and ``mstatus``/``mie`` writes end a
+        confined window, so it cannot become interrupt-sensitive), and
+        may run ahead of the globally-accounted clock; the harts, none
+        with a wired interrupt line, then run only up to Ibex's
+        accounted span, so the platform they see never lags them.  The
+        clock advances to the shortest runner's span and every
+        runner's run-ahead melts as cycle debt.
+        """
+        confined = len(ready) + ibex_ready > 1
+        ibex = self._ibex
+        if confined:
+            if ibex_ready and ibex.csrs.mie_enabled:
+                return False
+            for lane in ready:
+                if lane[1]._irq_wired:
+                    return False
+        span = budget
+        retired_any = landed = ibex_spent = 0
+        if ibex_ready:
+            retired_any, ibex_spent, landed = ibex.run_n(
+                budget, *self._ibex_window,
+                confined=confined, terminate_on_store=not confined,
+            )
+            if not retired_any:
+                return False
+            # A boundary stop pins the span to the cycles executed (the
+            # next instruction runs on the per-cycle path); a budget
+            # stop accounts the whole budget, the overshoot melting as
+            # debt.  A landed store ends the span on its retire cycle.
+            if landed:
+                span = ibex_spent - landed + 1
+            elif ibex_spent < budget:
+                span = ibex_spent
+        advanced = span
+        runs = []
+        for i, hart, commit in ready:
+            retired, spent, _term = hart.run_n(
+                span, *(self._seg_windows[i] if confined
+                        else self._host_window),
+                stop_before_cfi=True, confined=confined,
+            )
+            retired_any += retired
+            if spent < advanced:
+                advanced = spent
+            runs.append((i, commit, retired, spent))
+        if not retired_any:
             return False
-        # The final instruction may overshoot the window; the overshoot
-        # is exactly the host's remaining cycle debt.
-        advanced = min(spent, budget)
-        self.now += advanced
-        debts[0] = spent - advanced
-        commit.note_batch_retired(retired)
-        if self.run_rot and not ibex.halted:
-            if self._ibex_debt > 0:
-                self._ibex_debt -= min(advanced, self._ibex_debt)
-            elif ibex.sleeping:
-                ibex.sleep_for(advanced)
-        if phost is not None:
-            phost.skip(advanced)
-        if stage is not None:
-            stage.skip(advanced)
+        # The runners enter with no debt and leave neither asleep nor
+        # stalled, so the replay only moves the inert agents; their
+        # run-ahead is recorded after it.  A zero span (a hart stopped
+        # on an immediate boundary) leaves the clock where it is, and
+        # the next scan re-plans with that hart on the per-cycle path.
+        if advanced:
+            self._advance(advanced, tick_writers=landed > 0)
+        if ibex_ready:
+            self._ibex_debt = ibex_spent - advanced
+        debts = self._debts
+        for i, commit, retired, spent in runs:
+            debts[i] = spent - advanced
+            if retired:
+                commit.note_batch_retired(retired)
         return True
 
-    def _batch_ibex(self, max_cycles: int) -> bool:
-        """Run Ibex through one interaction-free firmware window.
+    def _advance(self, cycles: int, tick_writers: bool = False) -> None:
+        """Replay ``cycles`` cycles of every inert agent in one step.
 
-        The mirror image of :meth:`_batch_host`: eligible while no
-        application hart can retire anything (halted, stalled on the
-        CFI queue, or debt-bound) and no log-writer FSM can transition
-        (their ``skippable_cycles`` bound the window; ``WAIT`` is
-        unbounded because only Ibex's own completion write — a window
-        boundary — releases it).  Stall statistics for the inhibited
-        hart(s) replay in bulk through the same
-        :meth:`CommitStage.skip_stall` bookkeeping the event-driven
-        path uses.
+        Replicates exactly what ``cycles`` calls to :meth:`tick` would
+        have done — debts melt, sleeping harts accrue sleep cycles,
+        stalled commits accrue stall cycles, the policy host's and log
+        writers' counters advance — without per-cycle dispatch.  The
+        caller (:meth:`_fast_forward`) has proven every agent it does
+        not run inert for the whole span.  With ``tick_writers`` the
+        writers skip all but the last cycle and tick it for real, in
+        hart order.
         """
-        if not self.run_rot:
-            return False
-        ibex = self._ibex
-        if self._ibex_debt or ibex.halted or ibex.sleeping:
-            return False
-        budget = max_cycles - self.now - 1
+        self.now += cycles
         debts = self._debts
-        stalled = [False] * self._n
-        sleeping = [False] * self._n
-        for i in range(self._n):
-            hart = self._apps[i]
-            if hart.halted:
+        for i, hart, commit in self._lanes:
+            debt = debts[i]
+            if debt > 0:
+                debts[i] = debt - cycles if debt > cycles else 0
+            elif hart.halted:
                 continue
-            if debts[i] > 0:
-                if debts[i] < budget:
-                    budget = debts[i]
             elif hart.sleeping:
-                sleeping[i] = True
-            elif self._commits[i].stall_skippable():
-                stalled[i] = True
-            else:
-                return False
-        for stage in self._live_stages:
-            writer_bound = stage.skippable_cycles()
-            if writer_bound <= 0:
-                return False
-            if writer_bound < budget:
-                budget = writer_bound
-        if budget <= 0:
-            return False
-        retired, spent, term_cost = ibex.run_n(
-            budget, *self._ibex_window, terminate_on_store=True
-        )
-        if not retired:
-            return False
-        if term_cost:
-            # The window ended by *executing* an out-of-window store
-            # (mailbox verdict/completion, doorbell clear...).  Its
-            # retire cycle is T; replay everything else's view of
-            # cycles 1..T in order: the harts' stall/debt bulk first,
-            # then each writer's T-1 no-change cycles, then their real
-            # ticks at T in hart order — which observe the store's
-            # effects exactly as the busy loop's same-cycle writer
-            # ticks would (and may raise the resulting CfiViolation,
-            # caught by run()).
-            advanced = spent - term_cost + 1
-            self._ibex_debt = spent - advanced
-        else:
-            advanced = min(spent, budget)
-            self._ibex_debt = spent - advanced
-        self.now += advanced
-        for i in range(self._n):
-            if debts[i] > 0:
-                debts[i] -= min(advanced, debts[i])
-            elif sleeping[i]:
-                self._apps[i].sleep_for(advanced)
-            elif stalled[i]:
-                self._commits[i].skip_stall(advanced)
-        if term_cost:
-            for stage in self._live_stages:
-                stage.skip(advanced - 1)
-            for stage in self._live_stages:
+                hart.sleep_for(cycles)
+            elif commit.stalled:
+                commit.skip_stall(cycles)
+        if self.run_rot:
+            ibex = self._ibex
+            debt = self._ibex_debt
+            if debt > 0:
+                self._ibex_debt = debt - cycles if debt > cycles else 0
+            elif ibex.sleeping and not ibex.halted:
+                ibex.sleep_for(cycles)
+        if self._phost is not None:
+            self._phost.skip(cycles)
+        stages = self._live_stages
+        if tick_writers:
+            for stage in stages:
+                stage.skip(cycles - 1)
+            for stage in stages:
                 stage.tick()
         else:
-            for stage in self._live_stages:
-                stage.skip(advanced)
-        return True
-
-    def _batch_dual(self, max_cycles: int) -> bool:
-        """Run the single host *and* Ibex through one fully-isolated
-        window.
-
-        Covers the phase neither solo window can: host and Ibex both
-        actively executing (e.g. the host retiring between commit-log
-        pushes while the firmware services a check).  Soundness comes
-        from full confinement: each hart's window allows loads *and*
-        stores only inside its private range (host: DRAM; Ibex: the
-        TL-UL fabric below the bridge), so the two instruction streams
-        — and the bounded log writer — provably cannot observe each
-        other inside the window.
-
-        Ibex runs first and may *run ahead* of the globally-accounted
-        clock (the excess becomes cycle debt): its confined window
-        touches only RoT-private state, cannot re-enable interrupts
-        (``mret``/``mstatus``/``mie`` writes are boundaries and the
-        window requires interrupts disabled on entry), and is therefore
-        invisible to anything the host or writer does afterwards.  The
-        host is then run only up to Ibex's accounted span, so the
-        host-visible platform never lags the host.
-        """
-        if not self.run_rot:
-            return False
-        cva6 = self._cva6
-        ibex = self._ibex
-        debts = self._debts
-        if debts[0] or cva6.halted or cva6.sleeping:
-            return False
-        if self._ibex_debt or ibex.halted or ibex.sleeping:
-            return False
-        if self._commit.stalled:
-            return False
-        # The host must be interrupt-insensitive (no wired line) and
-        # Ibex interrupt-disabled, or pre-run immunity does not hold.
-        if cva6._irq_wired or ibex.csrs.mie_enabled:
-            return False
-        budget = max_cycles - self.now - 1
-        stage = self._stage
-        if stage is not None:
-            writer_bound = stage.skippable_cycles()
-            if writer_bound <= 0:
-                return False
-            if writer_bound < budget:
-                budget = writer_bound
-        if budget <= 0:
-            return False
-        ibex_retired, ibex_spent, _term = ibex.run_n(
-            budget, *self._ibex_window, confined=True
-        )
-        # Ibex's accounted span: a boundary stop pins the clock to the
-        # cycles actually executed (its next instruction must run on
-        # the per-cycle path); a budget stop accounts the whole budget,
-        # the overshoot melting as debt.
-        span = ibex_spent if ibex_spent < budget else budget
-        host_retired = host_spent = 0
-        if span > 0:
-            host_retired, host_spent, _hterm = cva6.run_n(
-                span, *self._host_window, stop_before_cfi=True, confined=True
-            )
-        if not ibex_retired and not host_retired:
-            return False
-        advanced = host_spent if host_spent < span else span
-        self.now += advanced
-        self._ibex_debt = ibex_spent - advanced
-        debts[0] = host_spent - advanced
-        if host_retired:
-            self._commit.note_batch_retired(host_retired)
-        if stage is not None and advanced:
-            stage.skip(advanced)
-        return True
-
-    def _batch_solo(self, idx: int, max_cycles: int) -> bool:
-        """Run application hart ``idx`` through one window while every
-        peer hart is provably inert (multi-hart generalisation of
-        :meth:`_batch_host`: "peer hart parked" becomes "all peer harts
-        parked/bounded").
-
-        A halted/sleeping/stall-skippable peer replays in bulk exactly
-        as the event-driven path replays it; a debt-bound peer bounds
-        the window so it cannot resume inside it.
-        """
-        apps = self._apps
-        debts = self._debts
-        hart = apps[idx]
-        budget = max_cycles - self.now - 1
-        sleeping_peers: List[int] = []
-        stalled_peers: List[int] = []
-        for j in range(self._n):
-            if j == idx:
-                continue
-            peer = apps[j]
-            if peer.halted:
-                continue
-            if debts[j] > 0:
-                if debts[j] < budget:
-                    budget = debts[j]
-            elif peer.sleeping:
-                sleeping_peers.append(j)
-            elif self._commits[j].stall_skippable():
-                stalled_peers.append(j)
-            else:
-                return False
-        ibex = self._ibex
-        if self.run_rot and not ibex.halted:
-            if self._ibex_debt > 0:
-                if self._ibex_debt < budget:
-                    budget = self._ibex_debt
-            elif not ibex.sleeping or ibex.interrupt_pending:
-                return False
-        phost = self._phost
-        if phost is not None:
-            host_bound = phost.skippable_cycles()
-            if host_bound <= 0:
-                return False
-            if host_bound < budget:
-                budget = host_bound
-        for stage in self._live_stages:
-            writer_bound = stage.skippable_cycles()
-            if writer_bound <= 0:
-                return False
-            if writer_bound < budget:
-                budget = writer_bound
-        if budget <= 0:
-            return False
-        retired, spent, _term = hart.run_n(
-            budget, *self._host_window, stop_before_cfi=True
-        )
-        if not retired:
-            return False
-        advanced = min(spent, budget)
-        self.now += advanced
-        debts[idx] = spent - advanced
-        self._commits[idx].note_batch_retired(retired)
-        for j in range(self._n):
-            if j != idx and debts[j] > 0:
-                debts[j] -= min(advanced, debts[j])
-        for j in sleeping_peers:
-            apps[j].sleep_for(advanced)
-        for j in stalled_peers:
-            self._commits[j].skip_stall(advanced)
-        if self.run_rot and not ibex.halted:
-            if self._ibex_debt > 0:
-                self._ibex_debt -= min(advanced, self._ibex_debt)
-            elif ibex.sleeping:
-                ibex.sleep_for(advanced)
-        if phost is not None:
-            phost.skip(advanced)
-        for stage in self._live_stages:
-            stage.skip(advanced)
-        return True
-
-    def _batch_apps(self, active: List[int], max_cycles: int) -> bool:
-        """Run several concurrently-active application harts through
-        fully-confined windows (the multi-hart analogue of
-        :meth:`_batch_dual`).
-
-        Soundness: each active hart's window allows loads *and* stores
-        only inside its own disjoint DRAM segment, every window stops
-        before CFI-relevant instructions (nothing reaches the shared
-        mailbox path), the writers / policy host are bounded, and no
-        application hart has a wired interrupt line.  Each hart's
-        run-ahead past the jointly-accounted span melts as cycle debt,
-        exactly as the dual window treats Ibex run-ahead.
-        """
-        apps = self._apps
-        debts = self._debts
-        budget = max_cycles - self.now - 1
-        sleeping_peers: List[int] = []
-        stalled_peers: List[int] = []
-        active_set = set(active)
-        for j in range(self._n):
-            if j in active_set:
-                if apps[j]._irq_wired:
-                    return False
-                continue
-            peer = apps[j]
-            if peer.halted:
-                continue
-            if debts[j] > 0:
-                if debts[j] < budget:
-                    budget = debts[j]
-            elif peer.sleeping:
-                sleeping_peers.append(j)
-            elif self._commits[j].stall_skippable():
-                stalled_peers.append(j)
-            else:
-                return False
-        ibex = self._ibex
-        if self.run_rot and not ibex.halted:
-            if self._ibex_debt > 0:
-                if self._ibex_debt < budget:
-                    budget = self._ibex_debt
-            elif not ibex.sleeping or ibex.interrupt_pending:
-                return False
-        phost = self._phost
-        if phost is not None:
-            host_bound = phost.skippable_cycles()
-            if host_bound <= 0:
-                return False
-            if host_bound < budget:
-                budget = host_bound
-        for stage in self._live_stages:
-            writer_bound = stage.skippable_cycles()
-            if writer_bound <= 0:
-                return False
-            if writer_bound < budget:
-                budget = writer_bound
-        if budget <= 0:
-            return False
-        spans: List[int] = []
-        retirements: List[int] = []
-        total_retired = 0
-        for i in active:
-            retired, spent, _term = apps[i].run_n(
-                budget, *self._seg_windows[i],
-                stop_before_cfi=True, confined=True,
-            )
-            spans.append(spent)
-            retirements.append(retired)
-            total_retired += retired
-        if not total_retired:
-            return False
-        advanced = min(min(spans), budget)
-        self.now += advanced
-        for pos, i in enumerate(active):
-            debts[i] = spans[pos] - advanced
-            if retirements[pos]:
-                self._commits[i].note_batch_retired(retirements[pos])
-        if advanced == 0:
-            # Run-ahead was recorded as debt but the joint clock did
-            # not move (some hart stopped on an immediate boundary);
-            # the caller's fixed-point loop re-dispatches with the
-            # stopped hart now solo.
-            return True
-        for j in range(self._n):
-            if j not in active_set and debts[j] > 0:
-                debts[j] -= min(advanced, debts[j])
-        for j in sleeping_peers:
-            apps[j].sleep_for(advanced)
-        for j in stalled_peers:
-            self._commits[j].skip_stall(advanced)
-        if self.run_rot and not ibex.halted:
-            if self._ibex_debt > 0:
-                self._ibex_debt -= min(advanced, self._ibex_debt)
-            elif ibex.sleeping:
-                ibex.sleep_for(advanced)
-        if phost is not None:
-            phost.skip(advanced)
-        for stage in self._live_stages:
-            stage.skip(advanced)
-        return True
-
-    def _batch_any(self, max_cycles: int) -> bool:
-        """Dispatch to the one window shape the current state allows.
-
-        Single-hart: at most one of the three windows can be eligible —
-        a host window needs Ibex parked/debt-bound, an Ibex window an
-        inactive host, and the dual window both harts active — so one
-        cheap state probe picks the candidate instead of running all
-        three eligibility prologues every scheduler iteration.
-
-        Multi-hart: the probe classifies the application harts into the
-        currently-active set and picks a solo, multi-confined or
-        firmware window accordingly.
-        """
-        debts = self._debts
-        if self._single:
-            cva6 = self._cva6
-            if not (debts[0] or cva6.halted or cva6.sleeping
-                    or self._commit.stalled):
-                ibex = self._ibex
-                if (self.run_rot and not self._ibex_debt
-                        and not ibex.halted and not ibex.sleeping):
-                    return self._batch_dual(max_cycles)
-                return self._batch_host(max_cycles)
-            return self._batch_ibex(max_cycles)
-        active: List[int] = []
-        for i in range(self._n):
-            hart = self._apps[i]
-            if not (debts[i] or hart.halted or hart.sleeping
-                    or self._commits[i].stalled):
-                active.append(i)
-        if not active:
-            return self._batch_ibex(max_cycles)
-        if len(active) == 1:
-            return self._batch_solo(active[0], max_cycles)
-        return self._batch_apps(active, max_cycles)
+            for stage in stages:
+                stage.skip(cycles)
 
     def run(self, max_cycles: int = 10_000_000) -> SimulationReport:
         """Run until every application hart halts and the CFI pipeline
@@ -809,7 +468,6 @@ class SystemSimulator:
         re-raised — detection is the expected outcome of attack runs.
         """
         event_driven = self.event_driven
-        batched = self.batched
         try:
             while self.now < max_cycles:
                 self.tick()
@@ -819,21 +477,11 @@ class SystemSimulator:
                     # Apply clock jumps and batched windows to a fixed
                     # point: a window that ends in cycle debt is
                     # followed by a jump (and possibly another window)
-                    # without paying for a full tick in between.  Every
-                    # action re-validates its own preconditions, so the
-                    # composition stays cycle-exact; the next tick then
-                    # lands on a provably interesting cycle.
-                    while True:
-                        skip = self._skippable_cycles()
-                        if skip > 0:
-                            # Stay one cycle short of the budget so the
-                            # exhaustion path fires on the same cycle
-                            # as the busy loop's.
-                            skip = min(skip, max_cycles - self.now - 1)
-                            if skip > 0:
-                                self._advance(skip)
-                        if not batched or not self._batch_any(max_cycles):
-                            break
+                    # without paying for a full tick in between.  The
+                    # next tick then lands on a provably interesting
+                    # cycle.
+                    while self._fast_forward(max_cycles):
+                        pass
             else:
                 raise SimulationError(
                     f"co-simulation exceeded {max_cycles} cycles"
@@ -843,9 +491,10 @@ class SystemSimulator:
         return self.report()
 
     def _all_halted(self) -> bool:
-        if self._single:
-            return self._cva6.halted
-        return all(hart.halted for hart in self._apps)
+        for hart in self._apps:
+            if not hart.halted:
+                return False
+        return True
 
     def _quiescent(self) -> bool:
         for stage, commit in zip(self._stages, self._commits):
@@ -856,33 +505,13 @@ class SystemSimulator:
         return True
 
     def report(self) -> SimulationReport:
-        """Snapshot the run's statistics."""
-        if self._single:
-            cfi_stats: Dict[str, object] = {}
-            if self._stage is not None:
-                cfi_stats = self._stage.stats_summary()
-            violation = self.violation or (
-                self._stage.violation if self._stage is not None else None
-            )
-            return SimulationReport(
-                cycles=self.now,
-                host_instructions=self._cva6.instret,
-                host_stall_cycles=self._commit.stall_cycles,
-                violation=violation,
-                cfi=cfi_stats,
-                ibex_instructions=self._ibex.instret,
-                detection_latency=(
-                    cfi_stats.get("first_violation_latency") if violation else None
-                ),
-                faults=(
-                    self.soc.faults.stats_summary()
-                    if getattr(self.soc, "faults", None) is not None
-                    else None
-                ),
-            )
-        return self._report_multi()
+        """Snapshot the run's statistics.
 
-    def _report_multi(self) -> SimulationReport:
+        One pass over the application harts builds the per-hart rows and
+        their aggregate.  A single-hart run keeps the historic report
+        shape: its CFI statistics are the stage's own summary and there
+        is no per-hart breakdown.
+        """
         per_hart: List[Dict[str, object]] = []
         aggregate: Dict[str, object] = {}
         first_violation: Optional[CfiViolation] = None
@@ -929,17 +558,25 @@ class SystemSimulator:
                     aggregate.get("queue_high_water", 0),
                     stats["queue_high_water"],
                 )
-        aggregate["mean_check_latency"] = (
-            latency_sum / latency_samples if latency_samples else 0.0
-        )
-        aggregate["first_violation_latency"] = first_latency
         violation = self.violation or first_violation
+        if self._n == 1:
+            # Re-deriving the mean latency from the aggregate need not
+            # give the same float, so one hart reports its stage as is.
+            cfi = per_hart[0]["cfi"]
+            first_latency = cfi.get("first_violation_latency")
+            per_hart = None
+        else:
+            aggregate["mean_check_latency"] = (
+                latency_sum / latency_samples if latency_samples else 0.0
+            )
+            aggregate["first_violation_latency"] = first_latency
+            cfi = aggregate
         return SimulationReport(
             cycles=self.now,
             host_instructions=sum(h.instret for h in self._apps),
             host_stall_cycles=sum(c.stall_cycles for c in self._commits),
             violation=violation,
-            cfi=aggregate,
+            cfi=cfi,
             ibex_instructions=self._ibex.instret,
             detection_latency=first_latency if violation is not None else None,
             faults=(

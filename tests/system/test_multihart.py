@@ -8,6 +8,7 @@ engines, and a ``Topology()`` SoC must be indistinguishable from one
 built without a topology at all.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -45,7 +46,10 @@ def _report_key(report):
     )
 
 
-def _build_multihart(victims, policy_factory=ShadowStackPolicy, seed=1234):
+def _build_multihart(victims, policy_factory=ShadowStackPolicy, seed=1234,
+                     firmware=None):
+    """An N-hart SoC whose mailbox is served by a policy host, or by the
+    Ibex shadow-stack ``firmware`` variant when one is named."""
     topo = Topology(n_harts=len(victims))
     soc = build_soc(
         cfi_config=TitanCfiConfig(raise_on_violation=False), topology=topo
@@ -54,7 +58,11 @@ def _build_multihart(victims, policy_factory=ShadowStackPolicy, seed=1234):
         amap = topo.address_map(hart_id, soc.addresses)
         program = VICTIMS[victim].builder(amap, random.Random(seed + hart_id))
         soc.load_host_program(program, hart_id=hart_id)
-    mount_policy_host(soc, policy_factory())
+    if firmware is None:
+        mount_policy_host(soc, policy_factory())
+    else:
+        image = shadow_stack_firmware(firmware, FirmwareLayout(soc.addresses))
+        soc.load_firmware(image.data)
     return soc
 
 
@@ -166,6 +174,42 @@ class TestMultiHartEngineEquivalence:
         assert keys[0] == keys[1] == keys[2]
 
 
+def _fields(report):
+    """Every report field; the violation (an exception, equal only to
+    itself) compares by type and message."""
+    values = {f.name: getattr(report, f.name)
+              for f in dataclasses.fields(report)}
+    violation = values["violation"]
+    if violation is not None:
+        values["violation"] = (type(violation), str(violation))
+    return values
+
+
+class TestFirmwareWindowBesideActiveHarts:
+    """At N>1 Ibex runs confined firmware windows next to active harts,
+    exactly as the single-hart SoC does."""
+
+    def test_confined_ibex_window_runs_and_matches_busy(self):
+        victims = ("rop", "deep-recursion")
+        soc = _build_multihart(victims, firmware="irq")
+        ibex = soc.rot.ibex
+        run_n = ibex.run_n
+        confined_budgets = []
+
+        def spy(budget, *args, **kwargs):
+            if kwargs.get("confined"):
+                confined_budgets.append(budget)
+            return run_n(budget, *args, **kwargs)
+
+        ibex.run_n = spy
+        batched = SystemSimulator(soc, mode=MODE_BATCHED).run()
+        busy = SystemSimulator(_build_multihart(victims, firmware="irq"),
+                               mode=MODE_BUSY).run()
+        assert confined_budgets
+        assert batched.per_hart is not None
+        assert _fields(batched) == _fields(busy)
+
+
 class TestPerHartReport:
     def test_attack_hart_flagged_peers_clean(self):
         report, _ = _run_multihart(("rop", "benign"), MODE_BATCHED)
@@ -213,7 +257,7 @@ class TestStartDelayValidation:
         with pytest.raises(ConfigError):
             SystemSimulator(soc, start_delays=[0])
 
-    @pytest.mark.parametrize("delay", [-1, 1.5, "0"])
+    @pytest.mark.parametrize("delay", [-1, 1.5, "0", True])
     def test_bad_delay_rejected(self, delay):
         soc = _build_multihart(("benign", "benign"))
         with pytest.raises(ConfigError):
