@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.errors import ConfigError
 
@@ -101,15 +101,25 @@ def manifest_payload(matrix: str, campaign_seed: int,
     }
 
 
-def write_manifest(path: str, manifest: Dict[str, object]) -> None:
-    """Write the manifest durably (temp file + rename + fsync)."""
-    tmp = path + ".tmp"
+def atomic_write(path: Union[str, "os.PathLike[str]"], text: str) -> None:
+    """Durable atomic file write (temp + fsync + rename).
+
+    The temp name (``<path>.tmp``) is deterministic per target, so an
+    interrupted write is overwritten — never accumulated — by the
+    retry, keeping output trees bit-identical across crash/restart
+    cycles.
+    """
+    tmp = os.fspath(path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def write_manifest(path: str, manifest: Dict[str, object]) -> None:
+    """Write the manifest durably (see :func:`atomic_write`)."""
+    atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def check_manifest(path: str, manifest: Dict[str, object]) -> None:

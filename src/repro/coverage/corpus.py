@@ -8,8 +8,8 @@ Layout::
     <root>/index.json            # schema stamp + digests, insertion order
     <root>/objects/<digest>.json # {model, vector, lineage, ...}
 
-All writes are durable-atomic (temp + fsync + rename via the store's
-helper), so a ``kill -9`` mid-write leaves either the old corpus or the
+All writes are durable-atomic (temp + fsync + rename via
+:func:`repro.campaign.checkpoint.atomic_write`), so a ``kill -9`` mid-write leaves either the old corpus or the
 new one — never a torn record — and the resume path replays cleanly.
 
 Eviction is deterministic: past ``max_entries``, the oldest entry whose
@@ -26,9 +26,9 @@ import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.campaign.checkpoint import atomic_write
 from repro.coverage.shape import ShapeVector
 from repro.errors import ConfigError, StoreCorruptError
-from repro.service.store import _atomic_write
 
 #: Corpus record/index schema stamp.
 CORPUS_SCHEMA_VERSION = 1
@@ -81,7 +81,7 @@ class CoverageCorpus:
             "schema_version": CORPUS_SCHEMA_VERSION,
             "entries": self._digests,
         }
-        _atomic_write(self._index,
+        atomic_write(self._index,
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def _path(self, digest: str) -> Path:
@@ -160,7 +160,7 @@ class CoverageCorpus:
             "model": model,
             "vector": vector.to_json(),
         }
-        _atomic_write(self._path(digest),
+        atomic_write(self._path(digest),
                       json.dumps(record, indent=2, sort_keys=True) + "\n")
         self._digests.append(digest)
         self._cache[digest] = record

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.checkpoint import (
     ResultLog,
+    atomic_write,
     check_manifest,
     load_results,
     write_manifest,
@@ -48,7 +49,6 @@ from repro.coverage.corpus import CoverageCorpus, model_digest
 from repro.coverage.mutate import mutate
 from repro.coverage.shape import CoverageMap, ShapeVector, shape_vector
 from repro.errors import ConfigError, SynthError
-from repro.service.store import _atomic_write
 from repro.synth.generator import FAMILIES, generate
 from repro.synth.oracle import ORACLE_POLICIES, expected_verdicts
 from repro.system.addresses import AddressMap
@@ -365,7 +365,7 @@ def _load_state(out: Path, config: FuzzConfig,
     dropped = records[aligned:]
     records = records[:aligned]
     if dropped:
-        _atomic_write(journal_path, "".join(
+        atomic_write(journal_path, "".join(
             json.dumps(record, sort_keys=True) + "\n" for record in records
         ))
     coverage = CoverageMap()
@@ -522,7 +522,7 @@ def fuzz(out, config: FuzzConfig, resume: bool = False) -> dict:
             for record in batch_records:
                 _apply(record, coverage, corpus)
                 records.append(record)
-            _atomic_write(
+            atomic_write(
                 out / MAP_NAME,
                 json.dumps(coverage.to_json(), indent=2, sort_keys=True)
                 + "\n",
@@ -537,7 +537,7 @@ def fuzz(out, config: FuzzConfig, resume: bool = False) -> dict:
 
     payload = _campaign_payload(records, config)
     write_artifacts(payload, out)
-    _atomic_write(
+    atomic_write(
         out / MAP_NAME,
         json.dumps(coverage.to_json(), indent=2, sort_keys=True) + "\n",
     )

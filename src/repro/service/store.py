@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.campaign.checkpoint import atomic_write
 from repro.campaign.spec import Scenario, spec_key
 from repro.errors import StoreCorruptError
 
@@ -76,21 +76,6 @@ def code_fingerprint(root: Optional[Path] = None) -> str:
     fingerprint = digest.hexdigest()[:FINGERPRINT_LEN]
     _fingerprint_cache[str(root)] = fingerprint
     return fingerprint
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Durable atomic file write (temp + fsync + rename).
-
-    The temp name is deterministic per target, so an interrupted write
-    is overwritten — never accumulated — by the retry, keeping store
-    trees bit-identical across crash/restart cycles.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 class ResultStore:
@@ -148,7 +133,7 @@ class ResultStore:
         if self.code_version not in versions:
             versions.append(self.code_version)
             self.root.mkdir(parents=True, exist_ok=True)
-            _atomic_write(self.versions_path,
+            atomic_write(self.versions_path,
                           json.dumps(versions, indent=2) + "\n")
 
     # -- object IO --------------------------------------------------------
@@ -194,7 +179,7 @@ class ResultStore:
         path = self.object_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         self._register_version()
-        _atomic_write(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+        atomic_write(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
         return path
 
     def invalidated(self, key: str) -> bool:
@@ -296,9 +281,9 @@ class ResultStore:
         survivors = [version for version in self.versions()
                      if version not in removed_versions]
         if removed_versions and survivors:
-            _atomic_write(self.versions_path,
+            atomic_write(self.versions_path,
                           json.dumps(survivors, indent=2) + "\n")
         elif removed_versions and self.versions_path.exists():
-            _atomic_write(self.versions_path, json.dumps([], indent=2) + "\n")
+            atomic_write(self.versions_path, json.dumps([], indent=2) + "\n")
         return {"removed_objects": removed_objects,
                 "removed_versions": removed_versions}

@@ -237,3 +237,84 @@ class TestXhartMatrixEndToEnd:
                     for field in ("detected", "violation_kind",
                                   "detection_latency"):
                         assert row[field] == base_rows[hart_id][field]
+
+
+class TestPinnedPayloads:
+    """Absolute row values of one- and many-hart matrices, pinned.
+
+    Digest of ``json.dumps(payload without "timing", indent=2)`` for
+    ``campaign_seed=7``, ``jobs=1``.  ``campaign.json`` is written
+    without ``sort_keys``, so these guard key order as well as values;
+    every engine is cycle-exact, so one digest covers both.
+    """
+
+    DIGESTS = {
+        "smoke": "6c1dd222daddafe89b7e3e803db401c1a3af54c2288d4113babce980a70caa6a",
+        "faults-smoke": "0f332ecaa843e7ffc434086fa11445ebc6d4f7186496e9c5aee0d4a18b84b27e",
+        "multihart-smoke": "f8339c6392d9760df5ddcbcfff2ef36bf04b789169d34c9a8113394bec42a043",
+        "xhart-smoke": "fb869ad8c5e48081444166eef5f7b78727fb66f861be7f8566665d7320f84b43",
+    }
+
+    @pytest.mark.parametrize("sim_mode", ["batched", "busy"])
+    @pytest.mark.parametrize("matrix", sorted(DIGESTS))
+    def test_payload_digest(self, matrix, sim_mode):
+        import hashlib
+        import json
+
+        from repro.campaign.spec import resolve_matrix
+
+        payload = run_campaign(resolve_matrix(matrix), jobs=1,
+                               campaign_seed=7, sim_mode=sim_mode)
+        payload.pop("timing")
+        text = json.dumps(payload, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[matrix]
+
+
+class TestSingleRunDifferential:
+    """The campaign's one-hart cell and the public single-run driver
+    (:func:`repro.attacks.rop.run_attack_scenario`) assemble their SoCs
+    separately; on the same program they must agree exactly."""
+
+    FIELDS = ("cycles", "host_instructions", "detection_latency",
+              "stall_cycles", "detected", "gadget_executed")
+
+    @pytest.mark.parametrize("victim", ["rop", "benign"])
+    @pytest.mark.parametrize("policy_backend,firmware,depth,blocking", [
+        ("firmware", "irq", 8, False),
+        ("firmware", "polling", 8, False),
+        ("host", "irq", 8, False),
+        # Table II: a detected run stops at the violating check, so a
+        # latched instead of raised violation would change ``cycles``.
+        ("firmware", "irq", 1, True),
+    ])
+    def test_campaign_row_matches_single_run(self, victim, policy_backend,
+                                             firmware, depth, blocking):
+        from repro.attacks.rop import run_attack_scenario
+        from repro.campaign.runner import SHARD_CACHE
+        from repro.campaign.spec import derive_seed
+        from repro.firmware.policies import ShadowStackPolicy
+
+        scenario = Scenario(victim=victim, backend="cosim",
+                            policy_backend=policy_backend, firmware=firmware,
+                            queue_depth=depth, blocking=blocking)
+        row = run_scenario(scenario, campaign_seed=11)
+        program = SHARD_CACHE.program(victim, derive_seed(11, scenario))
+        outcome = run_attack_scenario(
+            program,
+            firmware_variant=firmware,
+            queue_depth=depth,
+            blocking=blocking,
+            policy_backend=policy_backend,
+            policy=ShadowStackPolicy() if policy_backend == "host" else None,
+        )
+        report = outcome.report
+        single = {
+            "cycles": report.cycles,
+            "host_instructions": report.host_instructions,
+            "detection_latency": report.detection_latency,
+            "stall_cycles": report.host_stall_cycles,
+            "detected": outcome.detected,
+            "gadget_executed": outcome.gadget_executed,
+        }
+        assert {field: row[field] for field in self.FIELDS} == single
+        assert row["detected"] == (victim == "rop")
