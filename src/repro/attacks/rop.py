@@ -54,12 +54,9 @@ def run_attack_scenario(
     fabric: str = "standard",
     max_cycles: int = 10_000_000,
     soc: Optional[TitanCfiSoc] = None,
-    firmware_image: Optional[bytes] = None,
     sim_mode: Optional[str] = None,
     policy_backend: str = POLICY_BACKEND_FIRMWARE,
     policy: Optional[Policy] = None,
-    fault_plan=None,
-    lossy: bool = False,
 ) -> AttackOutcome:
     """Run ``program`` on a TitanCFI-protected SoC.
 
@@ -71,10 +68,6 @@ def run_attack_scenario(
         fabric: RoT interconnect profile.
         max_cycles: co-simulation bound.
         soc: pre-built SoC override (advanced use).
-        firmware_image: pre-assembled firmware image for
-            ``firmware_variant`` (the campaign's shard cache passes
-            this to keep assembly off the per-scenario path); must
-            match the default firmware layout.
         sim_mode: co-simulator engine (``None`` = engine default);
             every mode is cycle-exact, so the outcome is identical.
         policy_backend: who serves the CFI mailbox — ``"firmware"``
@@ -83,19 +76,13 @@ def run_attack_scenario(
             :class:`repro.policyhost.PolicyHost` on the cycle model
             calibrated for ``firmware_variant`` and ``fabric``.
         policy: the Python policy to enforce (``"host"`` backend only).
-        fault_plan: a :class:`repro.faults.FaultPlan` to attach for the
-            run (``None`` leaves every fault hook detached — the
-            fault-free path is cycle-identical with the layer present).
-        lossy: run the CFI queue in lossy (drop-oldest) mode instead of
-            stalling commit on overflow.
     """
     if policy_backend not in POLICY_BACKENDS:
         raise ConfigError(
             f"unknown policy backend {policy_backend!r} (have: {POLICY_BACKENDS})"
         )
     if soc is None:
-        config = TitanCfiConfig(queue_depth=queue_depth, blocking=blocking,
-                                lossy=lossy)
+        config = TitanCfiConfig(queue_depth=queue_depth, blocking=blocking)
         soc = build_soc(cfi_config=config, fabric=fabric)
         if policy_backend == POLICY_BACKEND_HOST:
             from repro.policyhost.host import mount_policy_host
@@ -109,11 +96,9 @@ def run_attack_scenario(
                     "a policy instance needs policy_backend='host' (the "
                     "firmware backend implements the shadow stack itself)"
                 )
-            if firmware_image is None:
-                firmware_image = shadow_stack_firmware(
-                    firmware_variant, FirmwareLayout(soc.addresses)
-                ).data
-            soc.load_firmware(firmware_image)
+            soc.load_firmware(shadow_stack_firmware(
+                firmware_variant, FirmwareLayout(soc.addresses)
+            ).data)
     else:
         # A prebuilt SoC arrives with its mailbox agent already set up;
         # the policy arguments must agree with it, not be ignored.
@@ -129,10 +114,6 @@ def run_attack_scenario(
                 f"policy_backend={policy_backend!r} but the pre-built soc "
                 f"{'has' if mounted else 'has no'} policy host mounted"
             )
-    if fault_plan is not None:
-        from repro.faults.inject import attach_faults
-
-        attach_faults(soc, fault_plan)
     soc.load_host_program(program)
 
     simulator = SystemSimulator(soc, mode=sim_mode)

@@ -788,12 +788,6 @@ def _failure_result(scenario: Scenario, campaign_seed: int, status: str,
     }
 
 
-def _worker(payload) -> Dict[str, object]:
-    """Pool entry point: (scenario, campaign_seed, sim_mode) → result."""
-    scenario, campaign_seed, sim_mode = payload
-    return run_scenario(scenario, campaign_seed, sim_mode=sim_mode)
-
-
 def _shard_main(wid: int, task_q, result_q, campaign_seed: int,
                 sim_mode: Optional[str]) -> None:
     """Worker process loop: one task at a time, sentinel ``None`` exits.

@@ -686,8 +686,8 @@ def spec_key(scenario: Scenario, campaign_seed: int = 0) -> str:
     never perturb it) and the **derived** per-scenario seed — the three
     inputs that determine a result.  The simulator engine is *not* part
     of the key: all three engines are cycle-exact by contract (asserted
-    by the equivalence suites and ``bench_speed --smoke``), so a result
-    computed under any engine is valid for every other.
+    by the equivalence suites and the pinned campaign digests), so a
+    result computed under any engine is valid for every other.
 
     This is the scenario half of the content-addressed result store's
     key; :func:`repro.service.store.code_fingerprint` supplies the

@@ -30,13 +30,12 @@ byte-identical across interrupted and uninterrupted runs.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.errors import JobStateError, StoreCorruptError
+from repro.campaign.checkpoint import ResultLog, load_results
+from repro.errors import ConfigError, JobStateError, StoreCorruptError
 
 # -- job states -------------------------------------------------------------
 
@@ -94,7 +93,9 @@ class Job:
 
 
 class JobJournal:
-    """Append-only, fsync'd JSONL journal of job events."""
+    """Append-only, fsync'd JSONL journal of job events, written and
+    read with the campaign checkpoint's :class:`ResultLog` and
+    :func:`load_results`."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -102,11 +103,8 @@ class JobJournal:
     def append(self, event: Dict[str, object]) -> None:
         """Durably append one event (creates the journal on first use)."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(event, sort_keys=True) + "\n"
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-            fh.flush()
-            os.fsync(fh.fileno())
+        with ResultLog(str(self.path), append=True) as log:
+            log.append(event)
 
     def submit(self, job: Job) -> None:
         self.append({"event": "submit", "job": job.spec(),
@@ -131,25 +129,13 @@ class JobJournal:
     # -- replay -----------------------------------------------------------
 
     def events(self) -> List[Dict[str, object]]:
-        """Every parsed journal event, tolerating a torn final line."""
-        if not self.path.exists():
-            return []
-        raw_lines = self.path.read_text(encoding="utf-8").splitlines()
-        events: List[Dict[str, object]] = []
-        for lineno, raw in enumerate(raw_lines):
-            if not raw.strip():
-                continue
-            try:
-                events.append(json.loads(raw))
-            except json.JSONDecodeError as exc:
-                if lineno == len(raw_lines) - 1:
-                    # Torn tail: the crash interrupted this append; the
-                    # event never happened as far as replay is concerned.
-                    break
-                raise StoreCorruptError(
-                    str(self.path), f"line {lineno + 1}: {exc}"
-                )
-        return events
+        """Every parsed journal event, tolerating a torn final line
+        (the crash interrupted that append, so as far as replay is
+        concerned the event never happened)."""
+        try:
+            return load_results(str(self.path))
+        except ConfigError as exc:
+            raise StoreCorruptError(str(self.path), str(exc)) from exc
 
     def replay(self) -> Dict[str, Job]:
         """Rebuild the job table (submission order preserved)."""

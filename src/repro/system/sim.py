@@ -111,9 +111,6 @@ class SystemSimulator:
     Args:
         soc: the platform under simulation.
         run_rot: step the Ibex RoT core (False freezes the firmware).
-        event_driven: legacy mode switch — ``False`` selects the busy
-            loop, ``True`` the fastest engine (``batched``).  Ignored
-            when ``mode`` is given.
         mode: execution engine:
 
             * ``"busy"`` — one :meth:`tick` per cycle;
@@ -140,10 +137,10 @@ class SystemSimulator:
     """
 
     def __init__(self, soc: TitanCfiSoc, run_rot: bool = True,
-                 event_driven: bool = True, mode: Optional[str] = None,
+                 mode: Optional[str] = None,
                  start_delays: Optional[Sequence[int]] = None):
         if mode is None:
-            mode = MODE_BATCHED if event_driven else MODE_BUSY
+            mode = MODE_BATCHED
         if mode not in _MODES:
             raise ValueError(f"unknown execution mode {mode!r} (have: {_MODES})")
         self.soc = soc

@@ -245,11 +245,14 @@ class TestPinnedPayloads:
     Digest of ``json.dumps(payload without "timing", indent=2)`` for
     ``campaign_seed=7``, ``jobs=1``.  ``campaign.json`` is written
     without ``sort_keys``, so these guard key order as well as values;
-    every engine is cycle-exact, so one digest covers both.
+    every engine is cycle-exact, so one digest covers both.  The
+    ``synth`` digest pins all 235 generated cells, each with its
+    oracle-sourced expectation met.
     """
 
     DIGESTS = {
         "smoke": "6c1dd222daddafe89b7e3e803db401c1a3af54c2288d4113babce980a70caa6a",
+        "synth": "9f6d1fb49db8b1e1124ffd8e5db01a6da194cb0cbb78caec53d6be60747f21c2",
         "faults-smoke": "0f332ecaa843e7ffc434086fa11445ebc6d4f7186496e9c5aee0d4a18b84b27e",
         "multihart-smoke": "f8339c6392d9760df5ddcbcfff2ef36bf04b789169d34c9a8113394bec42a043",
         "xhart-smoke": "fb869ad8c5e48081444166eef5f7b78727fb66f861be7f8566665d7320f84b43",

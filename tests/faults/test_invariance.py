@@ -62,8 +62,9 @@ class TestFaultFreeIdentity:
     """An attached-but-empty fault layer is cycle-invisible."""
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("victim", ["benign", "rop"])
-    def test_empty_plan_changes_nothing(self, victim, mode):
+    @pytest.mark.parametrize("fw_variant", ["irq", "polling"])
+    @pytest.mark.parametrize("victim", ["benign", "rop", "deep-recursion"])
+    def test_empty_plan_changes_nothing(self, victim, fw_variant, mode):
         from repro.campaign.spec import VICTIMS
         import random
 
@@ -71,7 +72,7 @@ class TestFaultFreeIdentity:
         for plan in (None, FaultPlan()):
             soc = build_soc()
             firmware = shadow_stack_firmware(
-                "irq", FirmwareLayout(soc.addresses)
+                fw_variant, FirmwareLayout(soc.addresses)
             )
             soc.load_firmware(firmware.data)
             soc.load_host_program(

@@ -9,6 +9,7 @@ units.  The hard contract throughout: benign peers' verdicts and
 detection latencies stay bit-identical to the adversary-free baseline.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -44,15 +45,17 @@ SEED = 1234
 ADVERSARIAL_PLANS = ("xhart-spoof", "xhart-flood", "xhart-hold")
 
 
-def _build(n=2, plan=None, defense=True, lossy=False):
+def _build(n=2, plan=None, defense=True, lossy=False, victims=None,
+           queue_depth=8):
     """N-hart SoC: rop on hart 0 (the benign-contract probe), chatty
-    deep-recursion peers, shadow-stack monitor on the policy host."""
-    victims = ["rop"] + ["deep-recursion"] * (n - 1)
-    topo = Topology(n_harts=n)
-    soc = build_soc(
-        cfi_config=TitanCfiConfig(raise_on_violation=False, lossy=lossy),
-        topology=topo,
-    )
+    deep-recursion peers, shadow-stack monitor on the policy host.
+    ``victims`` overrides the per-hart victims (and so ``n``)."""
+    if victims is None:
+        victims = ["rop"] + ["deep-recursion"] * (n - 1)
+    topo = Topology(n_harts=len(victims))
+    config = TitanCfiConfig(queue_depth=queue_depth, lossy=lossy,
+                            raise_on_violation=False)
+    soc = build_soc(cfi_config=config, topology=topo)
     for hart_id, victim in enumerate(victims):
         amap = topo.address_map(hart_id, soc.addresses)
         program = VICTIMS[victim].builder(amap, random.Random(SEED + hart_id))
@@ -213,33 +216,44 @@ class TestLossyQueue:
         with pytest.raises(ConfigError):
             TitanCfiConfig(lossy=True, blocking=True)
 
-    def test_lossy_queue_sheds_instead_of_stalling(self):
-        """Global lossy mode at depth 1: the writer outpaces the
-        monitor, the queue sheds oldest-first, and commit never sees a
+    @pytest.mark.parametrize("victims,depth", [
+        (["deep-recursion"], 1),
+        (["rop", "deep-recursion"], 8),
+    ], ids=["one-hart-depth-1", "saturated-peer"])
+    def test_lossy_queue_sheds_instead_of_stalling(self, victims, depth):
+        """The writer outpaces the monitor (one chatty hart at depth 1,
+        or a chatty peer saturating the shared monitor at the default
+        depth): the queue sheds oldest-first, and commit never sees a
         full-queue stall."""
-        config = TitanCfiConfig(queue_depth=1, lossy=True,
-                                raise_on_violation=False)
-        soc = build_soc(cfi_config=config)
-        program = VICTIMS["deep-recursion"].builder(
-            soc.addresses, random.Random(SEED)
-        )
-        soc.load_host_program(program)
-        mount_policy_host(soc, ShadowStackPolicy())
+        soc = _build(victims=victims, queue_depth=depth, defense=False,
+                     lossy=True)
         report = SystemSimulator(soc).run()
         assert report.cfi["dropped"] > 0
         assert report.cfi["full_stalls"] == 0
 
+    @pytest.mark.parametrize("victim", ["rop", "ret-to-callsite"])
+    def test_lossy_is_plain_until_the_queue_fills(self, victim):
+        """Lossiness may act only at the full-queue edge: these victims
+        never fill the queue alone (ret-to-callsite reaches 3 of 8), so
+        a lossy run reports exactly what a plain run reports and drops
+        nothing."""
+        reports = []
+        for lossy in (False, True):
+            soc = _build(victims=[victim], defense=False, lossy=lossy)
+            report = SystemSimulator(soc).run()
+            fields = {f.name: getattr(report, f.name)
+                      for f in dataclasses.fields(report)}
+            fields["violation"] = repr(report.violation)
+            fields["check_latencies"] = soc.cfi_stage.writer.stats.check_latencies
+            reports.append(fields)
+        assert reports[0] == reports[1]
+        assert reports[1]["cfi"]["dropped"] == 0
+
     def test_lossy_run_is_engine_invariant(self):
         keys = []
         for mode in MODES:
-            config = TitanCfiConfig(queue_depth=1, lossy=True,
-                                    raise_on_violation=False)
-            soc = build_soc(cfi_config=config)
-            program = VICTIMS["deep-recursion"].builder(
-                soc.addresses, random.Random(SEED)
-            )
-            soc.load_host_program(program)
-            mount_policy_host(soc, ShadowStackPolicy())
+            soc = _build(victims=["deep-recursion"], queue_depth=1,
+                         defense=False, lossy=True)
             report = SystemSimulator(soc, mode=mode).run()
             keys.append((report.cycles, report.detected,
                          report.detection_latency, report.cfi))

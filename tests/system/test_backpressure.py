@@ -13,13 +13,13 @@ import random
 
 import pytest
 
-from repro.attacks.rop import run_attack_scenario
 from repro.campaign.spec import VICTIMS
 from repro.core.config import TitanCfiConfig
+from repro.faults import attach_faults
 from repro.faults.plan import build_plan
 from repro.firmware.policies import ShadowStackPolicy
 from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
-from repro.system.addresses import AddressMap
+from repro.policyhost import mount_policy_host
 from repro.system.sim import MODE_BATCHED, MODE_BUSY, MODE_EVENT, SystemSimulator
 from repro.system.soc import build_soc
 
@@ -106,17 +106,14 @@ class TestFaultInducedBackPressure:
     the overflow accounting must agree across all three engines."""
 
     def _run_stalled(self, mode, depth, plan):
-        outcome = run_attack_scenario(
-            VICTIMS["deep-recursion"].builder(
-                AddressMap(), random.Random(1234)
-            ),
-            queue_depth=depth,
-            sim_mode=mode,
-            policy_backend="host",
-            policy=ShadowStackPolicy(),
-            fault_plan=plan,
+        soc = build_soc(cfi_config=TitanCfiConfig(queue_depth=depth))
+        mount_policy_host(soc, ShadowStackPolicy())
+        if plan is not None:
+            attach_faults(soc, plan)
+        soc.load_host_program(
+            VICTIMS["deep-recursion"].builder(soc.addresses, random.Random(1234))
         )
-        return outcome.report
+        return SystemSimulator(soc, mode=mode).run()
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_stall_burst_overflow_identical_across_engines(self, depth):

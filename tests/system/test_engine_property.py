@@ -1,18 +1,21 @@
 """Engine equivalence as a property over generated platforms.
 
 The busy loop, the event-driven engine and the batched engine must
-produce the same :class:`SimulationReport`, field for field, on every
-platform the generator draws: 1 to 4 application harts with their own
-victims and start delays, any queue depth, blocking, lossy or plain
-queues, and the mailbox served by the ``irq`` or ``polling`` firmware or
-by a mounted policy host.  Examples are derandomised, so the suite is
-deterministic.
+produce the same :class:`SimulationReport`, field for field, and the
+same per-check latencies in every CFI stage, on every platform the
+generator draws: 1 to 4 application harts with their own victims and
+start delays, any queue depth, blocking, lossy or plain queues, and the
+mailbox served by the ``irq`` or ``polling`` firmware or by a mounted
+policy host.  Examples are derandomised, so the suite is
+deterministic.  Three pinned examples always run: an attack beside a
+benign peer, a staggered attack amid three chatty peers, and a lossy
+queue saturated by a chatty peer.
 """
 
 import dataclasses
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.spec import VICTIMS
@@ -41,6 +44,19 @@ def platforms(draw):
         "monitor": draw(st.sampled_from(("irq", "polling", "host"))),
         "raise_on_violation": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def _pinned(victims, start_delays=None, queue="plain"):
+    """A policy-host platform with seed 1234 that latches violations."""
+    return {
+        "victims": list(victims),
+        "start_delays": start_delays or [0] * len(victims),
+        "queue_depth": TitanCfiConfig().queue_depth,
+        "queue": queue,
+        "monitor": "host",
+        "raise_on_violation": False,
+        "seed": 1234,
     }
 
 
@@ -80,11 +96,18 @@ def _fields(report):
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(platforms())
+@example(_pinned(("rop", "benign")))
+@example(_pinned(("rop",) + ("deep-recursion",) * 3,
+                 start_delays=[0, 700, 1400, 2100]))
+@example(_pinned(("rop", "deep-recursion"), queue="lossy"))
 def test_every_engine_reports_the_same_run(platform):
-    reports = [
-        _fields(SystemSimulator(_build(platform), mode=mode,
-                                start_delays=platform["start_delays"]).run())
-        for mode in (MODE_BUSY, MODE_EVENT, MODE_BATCHED)
-    ]
+    reports = []
+    for mode in (MODE_BUSY, MODE_EVENT, MODE_BATCHED):
+        soc = _build(platform)
+        fields = _fields(SystemSimulator(
+            soc, mode=mode, start_delays=platform["start_delays"]).run())
+        fields["check_latencies"] = [list(s.writer.stats.check_latencies)
+                                     for s in soc.cfi_stages if s is not None]
+        reports.append(fields)
     assert reports[0] == reports[1], platform
     assert reports[0] == reports[2], platform
