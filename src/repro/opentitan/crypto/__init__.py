@@ -1,10 +1,12 @@
-"""Cryptographic accelerators: from-scratch SHA-256 and HMAC.
+"""Cryptographic accelerators: SHA-256 and HMAC.
 
 OpenTitan's crypto blocks "efficiently execute compute-intensive
 security primitives, such as ... hash calculation" (paper §III-B);
 TitanCFI uses them to authenticate shadow-stack pages spilled to
-untrusted SoC memory (§VI).  Both primitives are implemented from
-scratch (no hashlib) and validated against independent test vectors.
+untrusted SoC memory (§VI).  Both primitives compute their functional
+result with the stdlib (``hashlib``/``hmac``); the simulated cost comes
+from the accelerator's cycle model, and the suite pins both against
+independent test vectors.
 """
 
 from repro.opentitan.crypto.sha256 import sha256

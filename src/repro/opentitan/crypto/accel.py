@@ -9,10 +9,12 @@ Register map (byte offsets; all registers 32-bit):
     0x40  DIGEST   8 words (read-only result)
     0x80  MSG      streaming window (sequential word writes append)
 
-The functional result is computed by the from-scratch primitives; the
-cycle cost model (``cycles_per_block`` × SHA-256 blocks processed) is
-exposed through :attr:`busy_cycles` for the spill-path analysis — the
-real block hashes one 512-bit block in ~80 cycles.
+The functional result comes from the stdlib (``hashlib``/``hmac``); the
+simulated cost comes only from the cycle model (``cycles_per_block`` ×
+SHA-256 blocks processed), exposed through :attr:`busy_cycles` for the
+spill-path analysis — the real block hashes one 512-bit block in ~80
+cycles.  An access must lie wholly inside one register or window;
+anything that runs past its end raises :class:`AccessFault`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,23 @@ KEY_OFFSET = 0x20
 DIGEST_OFFSET = 0x40
 MSG_OFFSET = 0x80
 
+KEY_BYTES = 32
+DIGEST_BYTES = 32
+MSG_WINDOW_BYTES = 0x80
+REGISTER_BYTES = 4
+
 CMD_SHA256 = 1
 CMD_HMAC = 2
+
+
+def _register(offset: int, size: int, base: int) -> bool:
+    """Whether the access is to the 32-bit register at ``base``."""
+    return offset == base and size <= REGISTER_BYTES
+
+
+def _inside(offset: int, size: int, base: int, length: int) -> bool:
+    """Whether ``[offset, offset + size)`` lies in ``[base, base + length)``."""
+    return base <= offset and offset + size <= base + length
 
 
 class HmacAccelerator:
@@ -41,8 +58,8 @@ class HmacAccelerator:
         self.cycles_per_block = cycles_per_block
         self.busy_cycles = 0
         self.operations = 0
-        self._key = bytearray(32)
-        self._digest = bytes(32)
+        self._key = bytearray(KEY_BYTES)
+        self._digest = bytes(DIGEST_BYTES)
         self._message = bytearray()
         self._msg_len = 0
         self._done = False
@@ -50,32 +67,32 @@ class HmacAccelerator:
     # -- device protocol -----------------------------------------------------
 
     def read(self, offset: int, size: int) -> int:
-        if offset == STATUS_OFFSET:
+        if _register(offset, size, STATUS_OFFSET):
             return int(self._done)
-        if DIGEST_OFFSET <= offset < DIGEST_OFFSET + 32:
+        if _inside(offset, size, DIGEST_OFFSET, DIGEST_BYTES):
             index = offset - DIGEST_OFFSET
             return int.from_bytes(self._digest[index : index + size], "little")
-        if offset == MSG_LEN_OFFSET:
+        if _register(offset, size, MSG_LEN_OFFSET):
             return self._msg_len
-        raise AccessFault(offset, "read", f"hmac: no readable register at {offset:#x}")
+        raise AccessFault(offset, "read", f"hmac: no readable register at {offset:#x}+{size}")
 
     def write(self, offset: int, size: int, value: int) -> None:
         data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
-        if offset == CMD_OFFSET:
+        if _register(offset, size, CMD_OFFSET):
             self._execute(value)
             return
-        if offset == MSG_LEN_OFFSET:
+        if _register(offset, size, MSG_LEN_OFFSET):
             self._msg_len = value
             return
-        if KEY_OFFSET <= offset < KEY_OFFSET + 32:
+        if _inside(offset, size, KEY_OFFSET, KEY_BYTES):
             index = offset - KEY_OFFSET
             self._key[index : index + size] = data
             return
-        if MSG_OFFSET <= offset < MSG_OFFSET + 0x80:
+        if _inside(offset, size, MSG_OFFSET, MSG_WINDOW_BYTES):
             self._message += data
             self._done = False
             return
-        raise AccessFault(offset, "write", f"hmac: no writable register at {offset:#x}")
+        raise AccessFault(offset, "write", f"hmac: no writable register at {offset:#x}+{size}")
 
     # -- functional model -------------------------------------------------------
 
@@ -87,18 +104,20 @@ class HmacAccelerator:
             self._digest = hmac_sha256(bytes(self._key), message)
         else:
             raise AccessFault(CMD_OFFSET, "write", f"hmac: unknown command {command}")
-        blocks = max(1, (len(message) + 63) // 64)
-        extra = 3 if command == CMD_HMAC else 0  # key pads + outer hash
-        self.busy_cycles += (blocks + extra) * self.cycles_per_block
-        self.operations += 1
+        self._charge(message, command == CMD_HMAC)
         self._message.clear()
         self._done = True
+
+    def _charge(self, message: bytes, mac: bool) -> None:
+        """The cycle model: one ``cycles_per_block`` per 64-byte block of
+        ``message``, plus three blocks (key pads + outer hash) for a MAC."""
+        blocks = max(1, (len(message) + 63) // 64) + (3 if mac else 0)
+        self.busy_cycles += blocks * self.cycles_per_block
+        self.operations += 1
 
     # -- direct (host-level) API ---------------------------------------------------
 
     def compute_hmac(self, key: bytes, message: bytes) -> bytes:
         """Python-level HMAC for policy models; charges the same cycles."""
-        blocks = max(1, (len(message) + 63) // 64)
-        self.busy_cycles += (blocks + 3) * self.cycles_per_block
-        self.operations += 1
+        self._charge(message, mac=True)
         return hmac_sha256(key, message)

@@ -1,36 +1,19 @@
-"""HMAC-SHA256 (RFC 2104) on top of the from-scratch SHA-256."""
+"""HMAC-SHA256 (RFC 2104) and tag comparison for the RoT policies.
+
+Tags come from the stdlib :mod:`hmac`; their simulated cost is charged
+by the accelerator's cycle model (``cycles_per_block``, ``MAC_CYCLES``).
+"""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from repro.opentitan.crypto.sha256 import sha256
-
-_BLOCK = 64
+import hmac as _hmac
 
 
-@lru_cache(maxsize=65536)
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA256 tag of ``message`` under ``key`` (32 bytes).
-
-    Memoized: the function is pure, and the shadow-stack policy tags
-    the same (address, depth) records over and over as loops push and
-    pop identical frames — cycle accounting stays in the accel model,
-    which charges per *operation*, not per Python recomputation.
-    """
-    if len(key) > _BLOCK:
-        key = sha256(key)
-    key = key.ljust(_BLOCK, b"\x00")
-    inner = bytes(k ^ 0x36 for k in key)
-    outer = bytes(k ^ 0x5C for k in key)
-    return sha256(outer + sha256(inner + message))
+    """HMAC-SHA256 tag of ``message`` under ``key`` (32 bytes)."""
+    return _hmac.digest(key, message, "sha256")
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:
     """Length-safe constant-time comparison for tag verification."""
-    if len(a) != len(b):
-        return False
-    difference = 0
-    for x, y in zip(a, b):
-        difference |= x ^ y
-    return difference == 0
+    return _hmac.compare_digest(a, b)

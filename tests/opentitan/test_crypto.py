@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import AccessFault
 from repro.opentitan.crypto.accel import (
     CMD_HMAC,
     CMD_OFFSET,
@@ -91,40 +92,42 @@ class TestConstantTimeEqual:
         assert not constant_time_equal(b"abc", b"abcd")
 
 
+def _stream(accel, message):
+    accel.write(MSG_LEN_OFFSET, 4, len(message))
+    padded = message + bytes(-len(message) % 4)
+    for i in range(0, len(padded), 4):
+        accel.write(MSG_OFFSET, 4, int.from_bytes(padded[i:i + 4], "little"))
+
+
+def _digest(accel):
+    return b"".join(
+        accel.read(DIGEST_OFFSET + i, 4).to_bytes(4, "little") for i in range(0, 32, 4)
+    )
+
+
 class TestAcceleratorDevice:
-    def _stream(self, accel, message):
-        accel.write(MSG_LEN_OFFSET, 4, len(message))
-        padded = message + bytes(-len(message) % 4)
-        for i in range(0, len(padded), 4):
-            accel.write(MSG_OFFSET, 4, int.from_bytes(padded[i:i + 4], "little"))
-
-    def _digest(self, accel):
-        return b"".join(
-            accel.read(DIGEST_OFFSET + i, 4).to_bytes(4, "little") for i in range(0, 32, 4)
-        )
-
     def test_sha256_via_registers(self):
         accel = HmacAccelerator()
-        self._stream(accel, b"abc")
+        _stream(accel, b"abc")
         accel.write(CMD_OFFSET, 4, CMD_SHA256)
         assert accel.read(STATUS_OFFSET, 4) == 1
-        assert self._digest(accel) == sha256(b"abc")
+        assert _digest(accel) == sha256(b"abc")
 
     def test_hmac_via_registers(self):
         accel = HmacAccelerator()
         key = bytes(range(32))
         for i in range(0, 32, 4):
             accel.write(KEY_OFFSET + i, 4, int.from_bytes(key[i:i + 4], "little"))
-        self._stream(accel, b"msg!")
+        _stream(accel, b"msg!")
         accel.write(CMD_OFFSET, 4, CMD_HMAC)
-        assert self._digest(accel) == hmac_sha256(key, b"msg!")
+        assert _digest(accel) == hmac_sha256(key, b"msg!")
 
     def test_cycle_cost_scales_with_blocks(self):
         accel = HmacAccelerator(cycles_per_block=80)
-        self._stream(accel, b"x" * 64)
+        _stream(accel, b"x" * 64)
         accel.write(CMD_OFFSET, 4, CMD_SHA256)
         one_block = accel.busy_cycles
-        self._stream(accel, b"x" * 640)
+        _stream(accel, b"x" * 640)
         accel.write(CMD_OFFSET, 4, CMD_SHA256)
         assert accel.busy_cycles - one_block > one_block
 
@@ -132,3 +135,85 @@ class TestAcceleratorDevice:
         accel = HmacAccelerator()
         accel.compute_hmac(b"key", b"message")
         assert accel.operations == 1
+
+
+class TestAcceleratorCycleAccounting:
+    """The modelled cost, pinned exactly: 80 cycles per 64-byte block,
+    plus three blocks (key pads and outer hash) for an HMAC."""
+
+    @pytest.mark.parametrize("length, cycles", [(3, 80), (64, 80), (65, 160)])
+    def test_sha256_command(self, length, cycles):
+        accel = HmacAccelerator()
+        _stream(accel, b"m" * length)
+        accel.write(CMD_OFFSET, 4, CMD_SHA256)
+        assert (accel.busy_cycles, accel.operations) == (cycles, 1)
+
+    def test_hmac_command(self):
+        accel = HmacAccelerator()
+        _stream(accel, b"m" * 65)
+        accel.write(CMD_OFFSET, 4, CMD_HMAC)
+        assert (accel.busy_cycles, accel.operations) == ((2 + 3) * 80, 1)
+
+    def test_compute_hmac_on_a_record(self):
+        accel = HmacAccelerator()
+        accel.compute_hmac(b"k" * 32, bytes(16))
+        assert (accel.busy_cycles, accel.operations) == (320, 1)
+        accel.compute_hmac(b"k" * 32, bytes(16))
+        assert (accel.busy_cycles, accel.operations) == (640, 2)
+
+
+class TestAcceleratorRegisterWindows:
+    """An access must end inside the register or window it starts in."""
+
+    def test_key_write_past_the_key_faults(self):
+        accel = HmacAccelerator()
+        with pytest.raises(AccessFault):
+            accel.write(KEY_OFFSET + 30, 4, 0xFFFFFFFF)
+        _stream(accel, b"msg!")
+        accel.write(CMD_OFFSET, 4, CMD_HMAC)
+        assert _digest(accel) == hmac_sha256(bytes(32), b"msg!")
+
+    @pytest.mark.parametrize("offset, size", [
+        (DIGEST_OFFSET + 30, 4), (DIGEST_OFFSET + 31, 2), (DIGEST_OFFSET + 32, 1),
+    ])
+    def test_digest_read_past_the_digest_faults(self, offset, size):
+        accel = HmacAccelerator()
+        with pytest.raises(AccessFault):
+            accel.read(offset, size)
+
+    @pytest.mark.parametrize("offset, size", [(0xFE, 4), (0xFD, 4), (0xFF, 2)])
+    def test_msg_write_past_the_device_faults(self, offset, size):
+        accel = HmacAccelerator()
+        with pytest.raises(AccessFault):
+            accel.write(offset, size, 0)
+
+    def test_last_msg_word_is_writable(self):
+        accel = HmacAccelerator()
+        accel.write(0xFC, 4, int.from_bytes(b"abc!", "little"))
+        accel.write(MSG_LEN_OFFSET, 4, 3)
+        accel.write(CMD_OFFSET, 4, CMD_SHA256)
+        assert _digest(accel) == sha256(b"abc")
+
+    @given(st.integers(0, HmacAccelerator.size - 1), st.sampled_from([1, 2, 4, 8]),
+           st.booleans())
+    @settings(max_examples=200)
+    def test_every_access_fits_or_faults(self, offset, size, write):
+        """Over the whole device: an access either faults or lies wholly
+        inside one register or window, and the key stays 32 bytes."""
+        windows = [(STATUS_OFFSET, 4, False), (MSG_LEN_OFFSET, 4, None),
+                   (CMD_OFFSET, 4, True), (KEY_OFFSET, 32, True),
+                   (DIGEST_OFFSET, 32, False), (MSG_OFFSET, 0x80, True)]
+        accel = HmacAccelerator()
+        try:
+            if write:
+                accel.write(offset, size, 0)  # 0 is no command at CMD
+            else:
+                accel.read(offset, size)
+        except AccessFault:
+            return
+        assert any(
+            base <= offset and offset + size <= base + length
+            and (writable is None or writable == write)
+            for base, length, writable in windows
+        ), (offset, size, write)
+        assert len(accel._key) == 32
